@@ -23,12 +23,17 @@
 //              pipeline a batch is consumed right after the combiner
 //              wrote it, so the estimate loop is a CPU benchmark, not a
 //              memory-bandwidth one.
+//   leaf_verify baseline: the CRC-32C table loop over one ~49 KB leaf
+//              blob (about a leaf of the 1M-row SALE view).
+//              new:      the dispatched Crc32c (the SSE4.2 instruction
+//              where the host has it).
 //
 // Times are the min across --reps repetitions (suppresses scheduler
 // noise). Writes bench_results/BENCH_cpu_hotpath.json with per-level
-// throughput and the filter/estimate speedups; under --smoke (CI) the
-// bench additionally asserts both speedups are >= 2x and that every
-// kernel level agrees with the scalar reference byte for byte.
+// throughput and the filter/estimate/leaf-verify speedups; under --smoke
+// (CI) the bench additionally asserts the filter and estimate speedups
+// are >= 2x, that every kernel level agrees with the scalar reference
+// byte for byte, and, on hosts with SSE4.2, that leaf verify is >= 5x.
 
 #include <algorithm>
 #include <chrono>
@@ -50,6 +55,7 @@
 #include "util/arena.h"
 #include "util/coding.h"
 #include "util/cpu.h"
+#include "util/crc32c.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -81,6 +87,10 @@ double MinMs(int reps, const std::function<void()>& fn) {
 double MRecsPerSec(uint64_t records, double ms) {
   return ms > 0 ? static_cast<double>(records) / (ms * 1e3) : 0.0;
 }
+
+/// Records in the leaf_verify blob: 49,100 bytes, about one leaf of the
+/// 1M-row SALE view.
+constexpr uint64_t kLeafRecords = 491;
 
 /// Densely packed SALE records with uniform keys; `day_hit` fraction land
 /// inside the bench query's day interval by construction.
@@ -277,6 +287,50 @@ int Run(int argc, char** argv) {
       obs::Json(MRecsPerSec(est_total, est_new_ms));
   numbers["estimate_speedup"] = obs::Json(est_speedup);
 
+  // ----------------------------------------------------------- leaf_verify
+  // The checksum every leaf read verifies, over one leaf-sized blob.
+  const std::string leaf = MakeRelation(kLeafRecords, /*seed=*/9);
+  const uint32_t table_crc =
+      Crc32cAt(util::CpuLevel::kScalar, leaf.data(), leaf.size());
+  MSV_CHECK_MSG(Crc32c(leaf.data(), leaf.size()) == table_crc,
+                "dispatched CRC-32C diverged from the table loop");
+  const int table_leaves = smoke ? 100 : 1000;
+  const int dispatched_leaves = smoke ? 1000 : 10000;
+  uint32_t sink = 0;  // keeps the checksums live
+  const double table_ms = MinMs(reps, [&] {
+    for (int i = 0; i < table_leaves; ++i) {
+      sink += Crc32cAt(util::CpuLevel::kScalar, leaf.data(), leaf.size());
+    }
+  });
+  const double dispatched_ms = MinMs(reps, [&] {
+    for (int i = 0; i < dispatched_leaves; ++i) {
+      sink += Crc32c(leaf.data(), leaf.size());
+    }
+  });
+  const double table_us = 1e3 * table_ms / table_leaves;
+  const double dispatched_us = 1e3 * dispatched_ms / dispatched_leaves;
+  const auto mb_per_s = [&](double us) {
+    return us > 0 ? static_cast<double>(leaf.size()) / us : 0.0;
+  };
+  const double verify_speedup =
+      dispatched_us > 0 ? table_us / dispatched_us : 0.0;
+  const bool crc_hardware =
+      Crc32cHardwareAvailable() && active != util::CpuLevel::kScalar;
+  std::printf("verify  table(%zu B leaf)        %8.2f us/leaf %7.0f MB/s\n",
+              leaf.size(), table_us, mb_per_s(table_us));
+  std::printf("verify  dispatched/%-8s      %8.2f us/leaf %7.0f MB/s\n",
+              crc_hardware ? "sse4.2" : "table", dispatched_us,
+              mb_per_s(dispatched_us));
+  std::printf("verify  speedup                  %8.2fx  (sink %08x)\n",
+              verify_speedup, sink);
+  numbers["leaf_verify_leaf_bytes"] = obs::Json(uint64_t{leaf.size()});
+  numbers["leaf_verify_hardware"] = obs::Json(crc_hardware);
+  numbers["leaf_verify_table_us_per_leaf"] = obs::Json(table_us);
+  numbers["leaf_verify_table_mb_s"] = obs::Json(mb_per_s(table_us));
+  numbers["leaf_verify_dispatched_us_per_leaf"] = obs::Json(dispatched_us);
+  numbers["leaf_verify_dispatched_mb_s"] = obs::Json(mb_per_s(dispatched_us));
+  numbers["leaf_verify_speedup"] = obs::Json(verify_speedup);
+
   WriteBenchJson("cpu_hotpath", numbers);
 
   if (smoke) {
@@ -284,6 +338,13 @@ int Run(int argc, char** argv) {
                   "smoke: filter loop is not >=2x over the scalar baseline");
     MSV_CHECK_MSG(est_speedup >= 2.0,
                   "smoke: estimate loop is not >=2x over std::function");
+    if (crc_hardware) {
+      MSV_CHECK_MSG(verify_speedup >= 5.0,
+                    "smoke: leaf verify is not >=5x over the table loop");
+    } else {
+      std::printf("smoke: leaf-verify gate skipped (no SSE4.2 CRC at the "
+                  "active level)\n");
+    }
   }
   return 0;
 }

@@ -88,8 +88,18 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end");
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      // Containers recurse: bound the nesting so hostile input (a wire
+      // frame of '[' bytes) cannot run the stack out.
+      if (depth_ == Json::kMaxParseDepth) {
+        return Error("nesting deeper than " +
+                     std::to_string(Json::kMaxParseDepth));
+      }
+      ++depth_;
+      Result<Json> v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       MSV_ASSIGN_OR_RETURN(std::string s, ParseString());
       return Json(std::move(s));
@@ -281,6 +291,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open containers enclosing pos_
 };
 
 }  // namespace

@@ -72,7 +72,11 @@ class Json {
   /// level; 0 emits the compact single-line form.
   std::string Dump(int indent = 0) const;
 
-  /// Parses one JSON document (trailing whitespace allowed).
+  /// Deepest container nesting Parse accepts.
+  static constexpr int kMaxParseDepth = 256;
+
+  /// Parses one JSON document (trailing whitespace allowed). Malformed
+  /// text, and nesting deeper than kMaxParseDepth, is InvalidArgument.
   static Result<Json> Parse(const std::string& text);
 
   bool operator==(const Json& other) const;

@@ -466,8 +466,30 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
   // plus the matching delta records.
   MSV_ASSIGN_OR_RETURN(uint64_t base_population,
                        view->tree()->EstimateMatchCount(query));
+  // Drawn on every path, COUNT(*) included, so a statement's seed depends
+  // only on how many statements ran before it.
+  const uint64_t seed = ++next_seed_;
+
+  if (stmt.agg == EstimateStmt::Agg::kCount && stmt.group_by.empty()) {
+    std::ostringstream out;
+    out << "COUNT(*) ~ " << base_population
+        << " (from index counts; delta adds <= " << view->delta_records()
+        << ")\n";
+    // COUNT(*) is answered from the index counts without sampling (so
+    // without opening a sampler, which copies the delta's matches): any
+    // WITHIN bound is trivially met and the result is never partial.
+    obs::StatementLedger& ledger = obs::ThreadStatementLedger();
+    ledger.has_estimate = true;
+    ledger.estimate_value = static_cast<double>(base_population);
+    ledger.confidence = stmt.confidence;
+    ledger.target_rel_pct = stmt.within_pct;
+    ledger.deadline_us = stmt.within_ms * 1000;
+    if (bounded) ledger.elapsed_us = rule.ElapsedUs();
+    return out.str();
+  }
+
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<core::ViewSampler> sampler,
-                       view->Sample(query, ++next_seed_));
+                       view->Sample(query, seed));
 
   if (!stmt.group_by.empty()) {
     const Column* group_column = schema.Find(stmt.group_by);
@@ -528,23 +550,6 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
             << agg.samples_seen() << " samples (partial)\n";
       }
     }
-    return out.str();
-  }
-
-  if (stmt.agg == EstimateStmt::Agg::kCount) {
-    std::ostringstream out;
-    out << "COUNT(*) ~ " << base_population
-        << " (from index counts; delta adds <= " << view->delta_records()
-        << ")\n";
-    // COUNT(*) is answered from the index counts without sampling: any
-    // WITHIN bound is trivially met and the result is never partial.
-    obs::StatementLedger& ledger = obs::ThreadStatementLedger();
-    ledger.has_estimate = true;
-    ledger.estimate_value = static_cast<double>(base_population);
-    ledger.confidence = stmt.confidence;
-    ledger.target_rel_pct = stmt.within_pct;
-    ledger.deadline_us = stmt.within_ms * 1000;
-    if (bounded) ledger.elapsed_us = rule.ElapsedUs();
     return out.str();
   }
 

@@ -1,5 +1,12 @@
 #include "util/crc32c.h"
 
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define MSV_CRC_X86 1
+#include <immintrin.h>
+#endif
+
 namespace msv {
 namespace {
 
@@ -22,9 +29,7 @@ const Crc32cTable& Table() {
   return table;
 }
 
-}  // namespace
-
-uint32_t Crc32c(const char* data, size_t n, uint32_t init) {
+uint32_t Crc32cTableLoop(const char* data, size_t n, uint32_t init) {
   const Crc32cTable& table = Table();
   uint32_t crc = ~init;
   for (size_t i = 0; i < n; ++i) {
@@ -32,6 +37,54 @@ uint32_t Crc32c(const char* data, size_t n, uint32_t init) {
           (crc >> 8);
   }
   return ~crc;
+}
+
+#ifdef MSV_CRC_X86
+
+// The `crc32` instruction implements the same reflected polynomial with
+// no pre/post inversion, so wrapping it in ~ gives the table's function.
+// One dependent stream: each step waits on the last (3-cycle latency),
+// which is still ~20x the table loop.
+__attribute__((target("sse4.2")))
+uint32_t Crc32cSse42(const char* data, size_t n, uint32_t init) {
+  uint64_t crc = ~init;
+  for (; n >= 8; n -= 8, data += 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; --n, ++data) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(*data));
+  }
+  return ~crc32;
+}
+
+#endif  // MSV_CRC_X86
+
+}  // namespace
+
+bool Crc32cHardwareAvailable() {
+#ifdef MSV_CRC_X86
+  static const bool available = __builtin_cpu_supports("sse4.2");
+  return available;
+#else
+  return false;
+#endif
+}
+
+uint32_t Crc32cAt([[maybe_unused]] util::CpuLevel level, const char* data,
+                  size_t n, uint32_t init) {
+#ifdef MSV_CRC_X86
+  if (level != util::CpuLevel::kScalar && Crc32cHardwareAvailable()) {
+    return Crc32cSse42(data, n, init);
+  }
+#endif
+  return Crc32cTableLoop(data, n, init);
+}
+
+uint32_t Crc32c(const char* data, size_t n, uint32_t init) {
+  return Crc32cAt(util::ActiveCpuLevel(), data, n, init);
 }
 
 }  // namespace msv

@@ -42,26 +42,13 @@
 namespace msv {
 namespace {
 
+using msv::testing::ScopedCpuLevel;
 using msv::testing::ValueOrDie;
 using sampling::RangeQuery;
 using sampling::SampleBatch;
 using storage::FieldAccessor;
 using storage::SaleRecord;
 using util::CpuLevel;
-
-/// Restores the process-wide dispatch level on scope exit, so forced
-/// levels never leak into other tests in this binary.
-class ScopedCpuLevel {
- public:
-  explicit ScopedCpuLevel(CpuLevel level)
-      : saved_(util::ActiveCpuLevel()) {
-    util::SetActiveCpuLevelForTesting(level);
-  }
-  ~ScopedCpuLevel() { util::SetActiveCpuLevelForTesting(saved_); }
-
- private:
-  CpuLevel saved_;
-};
 
 // ---------------------------------------------------------------------------
 // CpuLevel

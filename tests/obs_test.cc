@@ -428,5 +428,31 @@ TEST(JsonTest, ControlCharactersEscapeAndRoundTrip) {
   EXPECT_EQ(ValueOrDie(Json::Parse(dumped)).AsString(), j.AsString());
 }
 
+TEST(JsonTest, NestingDepthIsBounded) {
+  // 100,000 '[' once overflowed the stack through unbounded recursion.
+  auto deep = Json::Parse(std::string(100000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_TRUE(deep.status().IsInvalidArgument()) << deep.status().ToString();
+  EXPECT_NE(std::string(deep.status().message()).find("nesting deeper than"),
+            std::string::npos)
+      << deep.status().ToString();
+  // Exactly the limit parses, mixing both container kinds; one more
+  // level does not.
+  auto nested = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += i % 2 == 0 ? "[" : "{\"k\":";
+    text += "0";
+    for (int i = depth - 1; i >= 0; --i) text += i % 2 == 0 ? "]" : "}";
+    return text;
+  };
+  MSV_EXPECT_OK(Json::Parse(nested(Json::kMaxParseDepth)).status());
+  EXPECT_FALSE(Json::Parse(nested(Json::kMaxParseDepth + 1)).ok());
+  // Siblings do not add depth.
+  std::string wide = "[";
+  for (int i = 0; i < 10000; ++i) wide += i == 0 ? "[]" : ",[]";
+  wide += "]";
+  EXPECT_EQ(ValueOrDie(Json::Parse(wide)).items().size(), 10000u);
+}
+
 }  // namespace
 }  // namespace msv::obs

@@ -3,6 +3,7 @@
 
 #include "gtest/gtest.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "query/executor.h"
 #include "query/lexer.h"
 #include "query/parser.h"
@@ -315,6 +316,55 @@ TEST_F(ExecutorTest, DropRemovesFiles) {
   }
   std::string out = Run("SHOW VIEWS;");
   EXPECT_NE(out.find("(no views)"), std::string::npos);
+}
+
+TEST(ExecutorCountTest, CountWithLiveDeltaOpensNoSampler) {
+  // A base big enough that one flushed run stays under the compaction
+  // trigger (10% of the base), so the delta stays live.
+  std::unique_ptr<io::Env> mem = io::NewMemEnv();
+  std::unique_ptr<io::FaultInjectionEnv> env =
+      io::NewFaultInjectionEnv(mem.get());
+  auto executor = ValueOrDie(Executor::Open(env.get()));
+  MSV_ASSERT_OK(executor
+                    ->Run("GENERATE TABLE sale ROWS 60000 SEED 3;"
+                          "CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * "
+                          "FROM sale INDEX ON day;"
+                          "INSERT INTO v ROWS 5000 SEED 9;")
+                    .status());
+  // The text COUNT(*) has always produced for this view.
+  const std::string expected =
+      "COUNT(*) ~ 5964 (from index counts; delta adds <= 5000)\n";
+  const std::string count =
+      "ESTIMATE COUNT(*) FROM v WHERE day BETWEEN 10000 AND 20000;";
+  // Opening a sampler scans the flushed run through the env; COUNT(*)
+  // must answer from the index counts alone.
+  const int64_t ops_before = env->op_count();
+  EXPECT_EQ(ValueOrDie(executor->Run(count)), expected);
+  EXPECT_EQ(env->op_count(), ops_before);
+  // Sampling statements still scan the delta.
+  ValueOrDie(executor->Run(
+      "ESTIMATE AVG(amount) FROM v WHERE day BETWEEN 10000 AND 20000 "
+      "SAMPLES 10;"));
+  EXPECT_GT(env->op_count(), ops_before);
+}
+
+TEST(ExecutorCountTest, CountConsumesAStatementSeed) {
+  // A later statement's seed depends only on how many statements ran
+  // before it: COUNT(*) in place of a sampled ESTIMATE leaves it alone.
+  auto sample_after = [](const std::string& first) {
+    std::unique_ptr<io::Env> env = io::NewMemEnv();
+    auto executor = ValueOrDie(Executor::Open(env.get()));
+    MSV_EXPECT_OK(executor
+                      ->Run("GENERATE TABLE sale ROWS 20000 SEED 3;"
+                            "CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * "
+                            "FROM sale INDEX ON day;")
+                      .status());
+    ValueOrDie(executor->Run(first));
+    return ValueOrDie(
+        executor->Run("SAMPLE FROM v WHERE day BETWEEN 0 AND 50000 LIMIT 5;"));
+  };
+  EXPECT_EQ(sample_after("ESTIMATE COUNT(*) FROM v;"),
+            sample_after("ESTIMATE AVG(amount) FROM v SAMPLES 10;"));
 }
 
 }  // namespace

@@ -103,6 +103,16 @@ TEST(ParseRequestTest, RejectsMalformedRequests) {
   EXPECT_FALSE(ParseRequest("{\"statement\": 9}").ok());  // wrong type
 }
 
+TEST(ParseRequestTest, RejectsDeeplyNestedJson) {
+  auto request = ParseRequest(std::string(100000, '['));
+  ASSERT_FALSE(request.ok());
+  EXPECT_TRUE(request.status().IsInvalidArgument())
+      << request.status().ToString();
+  EXPECT_NE(std::string(request.status().message()).find("nesting"),
+            std::string::npos)
+      << request.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Live-server battery.
 
@@ -166,6 +176,25 @@ TEST_F(ServeTest, MalformedJsonGetsProtocolErrorAndConnectionSurvives) {
   // The connection is still good: a well-formed request now succeeds.
   obs::Json good = ValueOrDie(client->Call(kGoodQuery));
   EXPECT_TRUE(good.Find("ok")->AsBool());
+}
+
+TEST_F(ServeTest, DeeplyNestedFrameGetsProtocolErrorAndServerSurvives) {
+  StartServer(ServerOptions{});
+  auto attacker = Connect();
+  auto healthy = Connect();
+  // ~100 KB of '[' is well under the frame cap; the request parser runs
+  // on the event-loop thread, so a stack overflow there would take every
+  // session down.
+  const std::string frame = EncodeFrame(std::string(100000, '['));
+  MSV_ASSERT_OK(attacker->SendBytes(frame.data(), frame.size()));
+  obs::Json doc = ValueOrDie(attacker->Read());
+  EXPECT_FALSE(doc.Find("ok")->AsBool());
+  EXPECT_EQ(doc.Find("error")->Find("kind")->AsString(), "protocol");
+  EXPECT_NE(doc.Find("error")->Find("message")->AsString().find("nesting"),
+            std::string::npos);
+  // Both sessions keep being served.
+  EXPECT_TRUE(ValueOrDie(healthy->Call(kGoodQuery)).Find("ok")->AsBool());
+  EXPECT_TRUE(ValueOrDie(attacker->Call(kGoodQuery)).Find("ok")->AsBool());
 }
 
 TEST_F(ServeTest, MissingStatementIsProtocolError) {

@@ -16,6 +16,7 @@
 #include "sampling/sample_stream.h"
 #include "storage/heap_file.h"
 #include "storage/record.h"
+#include "util/cpu.h"
 #include "util/status.h"
 
 namespace msv::testing {
@@ -84,6 +85,29 @@ inline std::vector<uint64_t> TakeRowIds(sampling::SampleStream* stream,
 inline bool AllDistinct(const std::vector<uint64_t>& ids) {
   std::set<uint64_t> s(ids.begin(), ids.end());
   return s.size() == ids.size();
+}
+
+/// Restores the process-wide dispatch level on scope exit, so forced
+/// levels never leak into other tests in the same binary.
+class ScopedCpuLevel {
+ public:
+  explicit ScopedCpuLevel(util::CpuLevel level)
+      : saved_(util::ActiveCpuLevel()) {
+    util::SetActiveCpuLevelForTesting(level);
+  }
+  ~ScopedCpuLevel() { util::SetActiveCpuLevelForTesting(saved_); }
+
+ private:
+  util::CpuLevel saved_;
+};
+
+/// Every dispatch level this host can execute, kScalar first.
+inline std::vector<util::CpuLevel> RunnableCpuLevels() {
+  std::vector<util::CpuLevel> levels;
+  for (int l = 0; l <= static_cast<int>(util::DetectCpuLevel()); ++l) {
+    levels.push_back(static_cast<util::CpuLevel>(l));
+  }
+  return levels;
 }
 
 }  // namespace msv::testing

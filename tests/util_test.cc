@@ -2,10 +2,13 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 #include "util/coding.h"
+#include "util/cpu.h"
 #include "util/crc32c.h"
 #include "util/histogram.h"
 #include "util/random.h"
@@ -16,6 +19,9 @@
 
 namespace msv {
 namespace {
+
+using msv::testing::RunnableCpuLevels;
+using msv::testing::ScopedCpuLevel;
 
 // ---------------------------------------------------------------------------
 // Status / Result
@@ -117,25 +123,80 @@ TEST(CodingTest, RoundTrips) {
 // CRC-32C
 // ---------------------------------------------------------------------------
 
+// Each test runs at every dispatch level the host can execute: kScalar
+// is the table loop, the others the SSE4.2 instruction where present.
+
 TEST(Crc32cTest, KnownVectors) {
-  // RFC 3720 test vectors.
+  // RFC 3720 (iSCSI) Appendix B.4 test vectors, plus the classic check.
   std::vector<char> zeros(32, 0);
-  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8a9136aau);
   std::vector<char> ones(32, static_cast<char>(0xff));
-  EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62a8ab43u);
+  std::vector<char> ascending(32);
+  std::vector<char> descending(32);
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
   const char* hello = "123456789";
-  EXPECT_EQ(Crc32c(hello, 9), 0xe3069283u);
+  for (util::CpuLevel level : RunnableCpuLevels()) {
+    ScopedCpuLevel scoped(level);
+    SCOPED_TRACE(util::CpuLevelName(level));
+    EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8a9136aau);
+    EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62a8ab43u);
+    EXPECT_EQ(Crc32c(ascending.data(), ascending.size()), 0x46dd794eu);
+    EXPECT_EQ(Crc32c(descending.data(), descending.size()), 0x113fdb5cu);
+    EXPECT_EQ(Crc32c(hello, 9), 0xe3069283u);
+  }
 }
 
 TEST(Crc32cTest, ExtendMatchesWhole) {
   const char* data = "the quick brown fox jumps over the lazy dog";
   size_t n = 44;
-  uint32_t whole = Crc32c(data, n);
-  uint32_t part = Crc32c(data, 10);
-  // Extending is crc-of-concatenation only with the right chaining; our
-  // API chains by passing the previous value.
-  uint32_t chained = Crc32c(data + 10, n - 10, part);
-  EXPECT_EQ(chained, whole);
+  for (util::CpuLevel level : RunnableCpuLevels()) {
+    ScopedCpuLevel scoped(level);
+    uint32_t whole = Crc32c(data, n);
+    uint32_t part = Crc32c(data, 10);
+    // Extending is crc-of-concatenation only with the right chaining; our
+    // API chains by passing the previous value.
+    uint32_t chained = Crc32c(data + 10, n - 10, part);
+    EXPECT_EQ(chained, whole) << util::CpuLevelName(level);
+  }
+}
+
+TEST(Crc32cTest, DispatchedMatchesTableOnRandomInputs) {
+  // Random bytes, lengths 0..65536, start offsets 0..7 (the word loop's
+  // alignment), and chained splits at arbitrary points.
+  constexpr size_t kMaxLen = 65536;
+  std::string buf(kMaxLen + 8, '\0');
+  Pcg64 rng(20260);
+  for (char& c : buf) c = static_cast<char>(rng.Below(256));
+  const auto table = [](const char* p, size_t n, uint32_t init = 0) {
+    return Crc32cAt(util::CpuLevel::kScalar, p, n, init);
+  };
+  for (util::CpuLevel level : RunnableCpuLevels()) {
+    ScopedCpuLevel scoped(level);
+    SCOPED_TRACE(util::CpuLevelName(level));
+    // Every short length at every offset covers each tail remainder.
+    for (size_t off = 0; off < 8; ++off) {
+      for (size_t n = 0; n <= 64; ++n) {
+        ASSERT_EQ(Crc32c(buf.data() + off, n), table(buf.data() + off, n))
+            << "off=" << off << " n=" << n;
+      }
+    }
+    for (int iter = 0; iter < 300; ++iter) {
+      const size_t off = rng.Below(8);
+      const size_t n = rng.Below(kMaxLen + 1);
+      const char* p = buf.data() + off;
+      const uint32_t whole = table(p, n);
+      ASSERT_EQ(Crc32c(p, n), whole) << "off=" << off << " n=" << n;
+      const size_t split = n == 0 ? 0 : rng.Below(n + 1);
+      const uint32_t head = Crc32c(p, split);
+      ASSERT_EQ(Crc32c(p + split, n - split, head), whole)
+          << "off=" << off << " n=" << n << " split=" << split;
+      // A nonzero seed chains the same way on both variants.
+      const uint32_t init = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32c(p, n, init), table(p, n, init));
+    }
+  }
 }
 
 TEST(Crc32cTest, MaskRoundTrip) {
@@ -147,11 +208,15 @@ TEST(Crc32cTest, MaskRoundTrip) {
 
 TEST(Crc32cTest, DetectsSingleBitFlips) {
   std::string data(100, 'x');
-  uint32_t clean = Crc32c(data.data(), data.size());
-  for (size_t i = 0; i < data.size(); i += 13) {
-    std::string mutated = data;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x4);
-    EXPECT_NE(Crc32c(mutated.data(), mutated.size()), clean) << i;
+  for (util::CpuLevel level : RunnableCpuLevels()) {
+    ScopedCpuLevel scoped(level);
+    uint32_t clean = Crc32c(data.data(), data.size());
+    for (size_t i = 0; i < data.size(); i += 13) {
+      std::string mutated = data;
+      mutated[i] = static_cast<char>(mutated[i] ^ 0x4);
+      EXPECT_NE(Crc32c(mutated.data(), mutated.size()), clean)
+          << util::CpuLevelName(level) << " byte " << i;
+    }
   }
 }
 
